@@ -18,9 +18,10 @@ vet:
 
 # -race covers the parallel experiment harness (internal/expt fans
 # simulation cells across a worker pool; its determinism tests run the
-# pool at width 8 even on small hosts).
+# pool at width 8 even on small hosts). -cpu 1,4 runs every test at
+# GOMAXPROCS 1 and 4, so a single-core CI host cannot hide interleavings.
 race:
-	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -cpu 1,4 ./...
 
 # One-iteration run of the simulator hot-path benchmark plus the
 # shared-queue contention study (which asserts the relaxed deque's >= 2x

@@ -514,9 +514,9 @@ func (m *MatChain) Trace(places int) (*trace.Graph, error) {
 // ---------------------------------------------------------------------
 // Random access — 0.006 ms tasks.
 
-// RandomAccess performs GUPS-style XOR updates; the table is partitioned
-// per place and updates are grouped by target partition, so the result is
-// deterministic (XOR commutes within a partition).
+// RandomAccess performs GUPS-style XOR updates of one table. XOR
+// commutes, so the result is deterministic whatever order the updates
+// land in.
 type RandomAccess struct {
 	TableSize, Updates, Batch int
 	Seed                      int64
@@ -531,11 +531,31 @@ func NewRandomAccess(tableSize, updates, batch int, seed int64) *RandomAccess {
 // Name implements apps.App.
 func (r *RandomAccess) Name() string { return "randomaccess" }
 
-// apply performs batch b's updates into table (global slice).
+// apply performs batch b's updates into table.
 func (r *RandomAccess) apply(table []uint64, b int) {
+	lo, hi := r.span(b)
+	updates := make([]uint64, hi-lo)
+	r.batchUpdates(updates, b)
+	r.applyLog(table, updates)
+}
+
+// span returns batch b's slots [lo, hi) in the update log.
+func (r *RandomAccess) span(b int) (lo, hi int) {
+	return b * r.Batch, min((b+1)*r.Batch, r.Updates)
+}
+
+// batchUpdates writes batch b's update values into dst, its span of the
+// update log.
+func (r *RandomAccess) batchUpdates(dst []uint64, b int) {
 	base := uint64(b) * uint64(r.Batch)
-	for i := 0; i < r.Batch && int(base)+i < r.Updates; i++ {
-		h := mixU(uint64(r.Seed), base+uint64(i))
+	for i := range dst {
+		dst[i] = mixU(uint64(r.Seed), base+uint64(i))
+	}
+}
+
+// applyLog XORs every logged update into table.
+func (r *RandomAccess) applyLog(table, log []uint64) {
+	for _, h := range log {
 		table[h%uint64(r.TableSize)] ^= h
 	}
 }
@@ -561,24 +581,21 @@ func (r *RandomAccess) Sequential() uint64 {
 	return checksumTable(table)
 }
 
-// Parallel implements apps.App: per-place private tables merged by XOR at
-// the end (XOR is associative and commutative, so races are avoided by
-// giving each place its own accumulation table).
+// Parallel implements apps.App: each batch computes its updates into its
+// own slots of one update log, so no two activities ever write the same
+// memory, and the log is merged into the table by XOR at the end.
 func (r *RandomAccess) Parallel(rt *core.Runtime) (uint64, error) {
 	places := rt.Places()
-	tables := make([][]uint64, places)
-	for p := range tables {
-		tables[p] = make([]uint64, r.TableSize)
-	}
+	log := make([]uint64, r.Updates)
 	nb := r.batches()
 	err := rt.Run(func(ctx *core.Ctx) {
 		ctx.Finish(func(c *core.Ctx) {
 			for b := 0; b < nb; b++ {
 				b := b
-				home := b * places / nb
-				// Sensitive: updates must land in the home partition copy.
-				c.Async(home, func(cc *core.Ctx) {
-					r.apply(tables[home], b)
+				lo, hi := r.span(b)
+				// Sensitive: a batch runs at the place owning its log slots.
+				c.Async(b*places/nb, func(cc *core.Ctx) {
+					r.batchUpdates(log[lo:hi], b)
 				})
 			}
 		})
@@ -586,13 +603,9 @@ func (r *RandomAccess) Parallel(rt *core.Runtime) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("randomaccess: %w", err)
 	}
-	merged := make([]uint64, r.TableSize)
-	for p := range tables {
-		for i, v := range tables[p] {
-			merged[i] ^= v
-		}
-	}
-	return checksumTable(merged), nil
+	table := make([]uint64, r.TableSize)
+	r.applyLog(table, log)
+	return checksumTable(table), nil
 }
 
 // Trace implements apps.App.

@@ -562,15 +562,18 @@ func (l *meshLink) flush() {
 		for _, m := range batch {
 			l.wbuf = AppendFrame(l.wbuf, m)
 		}
-		if _, err := conn.Write(l.wbuf); err != nil {
-			l.fail(err)
-			return
-		}
+		// Publish the stats before the bytes leave: once the peer can
+		// read a frame, CoalescingStats must already count it, or a
+		// reader that drains every frame may still see stale totals.
 		t := l.mesh
 		t.mu.Lock()
 		t.wireWrites++
 		t.wireFrames += int64(len(batch))
 		t.mu.Unlock()
+		if _, err := conn.Write(l.wbuf); err != nil {
+			l.fail(err)
+			return
+		}
 	}
 }
 

@@ -59,15 +59,22 @@ func (f *finish) isDone() bool { return f.pending.Load() == 0 }
 // Ctx is the execution context passed to every activity body. It carries
 // the current place and the enclosing finish scope, and exposes the APGAS
 // spawning operations.
+//
+// An activity's own Ctx is embedded in its activity, so a spawn costs one
+// allocation: the spawn fills in fin and home, and the worker that runs
+// the activity fills in the rest.
 type Ctx struct {
-	rt      *Runtime
-	placeID int
-	worker  *worker // nil inside At bodies executed on a borrowed goroutine
-	fin     *finish
+	rt     *Runtime
+	worker *worker // nil inside At bodies executed on a borrowed goroutine
+	fin    *finish
+	// placeID is the place the activity executes at; home is the place it
+	// was addressed to (they differ once a flexible activity migrates).
+	placeID int32
+	home    int32
 }
 
 // Place returns the id of the place this activity is executing at.
-func (c *Ctx) Place() int { return c.placeID }
+func (c *Ctx) Place() int { return int(c.placeID) }
 
 // Places returns the number of places in the runtime.
 func (c *Ctx) Places() int { return len(c.rt.places) }
@@ -101,7 +108,7 @@ func (c *Ctx) AsyncLoc(p int, loc task.Locality, body func(*Ctx)) {
 		panic("core: Async with nil body")
 	}
 	c.fin.add(1)
-	c.rt.spawn(&activity{body: body, loc: loc, home: p, fin: c.fin}, c.placeID, c.worker)
+	c.rt.spawn(&activity{body: body, loc: loc, ctx: Ctx{fin: c.fin, home: int32(p)}}, int(c.placeID), c.worker)
 }
 
 // Finish runs body and blocks until every activity transitively spawned
@@ -111,7 +118,7 @@ func (c *Ctx) AsyncLoc(p int, loc task.Locality, body func(*Ctx)) {
 func (c *Ctx) Finish(body func(*Ctx)) {
 	inner := newFinish(c.fin)
 	inner.add(1) // the body itself
-	child := &Ctx{rt: c.rt, placeID: c.placeID, worker: c.worker, fin: inner}
+	child := &Ctx{rt: c.rt, worker: c.worker, fin: inner, placeID: c.placeID, home: c.home}
 	func() {
 		defer inner.done()
 		defer func() {
@@ -143,23 +150,26 @@ func (c *Ctx) waitHelping(fin *finish) {
 		}
 		return
 	}
+	w := c.worker
 	for !fin.isDone() {
 		if c.rt.shutdown.Load() {
 			return
 		}
-		a, how := c.worker.findWork()
+		a, how := w.findWork()
 		if a != nil {
-			c.worker.run(a, how)
+			w.run(a, how)
 			continue
 		}
+		// Parked time is idle time: close the busy streak, and reopen it
+		// on waking, since the worker is back inside its own activity.
+		w.closeStreak()
 		select {
-		case <-c.worker.place.wake:
+		case <-w.place.wake:
 		case <-fin.doneCh:
-			return
 		case <-c.rt.stopCh:
-			return
 		case <-time.After(c.rt.cfg.IdlePoll):
 		}
+		w.openStreak()
 	}
 }
 
@@ -168,20 +178,18 @@ func (c *Ctx) waitHelping(fin *finish) {
 // transfer: the runtime accounts one request and one reply message of
 // bytes payload size each way (pass 0 when unknown). The body runs on the
 // calling goroutine with the context re-homed to p, which is deadlock-free
-// and mirrors X10's blocked-worker semantics.
+// and mirrors X10's blocked-worker semantics; its time counts toward the
+// calling worker's utilization.
 func (c *Ctx) At(p int, bytes int, body func(*Ctx)) {
 	c.checkPlace(p)
-	if p != c.placeID {
+	if p != int(c.placeID) {
 		c.rt.counters.Messages.Add(2)
 		c.rt.counters.BytesTransferred.Add(2 * int64(bytes))
 		c.rt.counters.RemoteDataAccess.Add(1)
 	}
-	shifted := &Ctx{rt: c.rt, placeID: p, worker: nil, fin: c.fin}
-	start := time.Now()
-	body(shifted)
-	c.rt.util.AddBusy(p, time.Since(start).Nanoseconds())
+	body(&Ctx{rt: c.rt, fin: c.fin, placeID: int32(p), home: c.home})
 }
 
 // Metrics exposes a snapshot of the runtime counters to activity bodies
 // (useful in examples and tests).
-func (c *Ctx) Metrics() metrics.Snapshot { return c.rt.counters.Snapshot() }
+func (c *Ctx) Metrics() metrics.Snapshot { return c.rt.Metrics() }

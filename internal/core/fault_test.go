@@ -55,16 +55,50 @@ func chaosCluster() topology.Cluster {
 	return topology.Cluster{Places: 4, WorkersPerPlace: 2}
 }
 
+// TestCrashedPlaceWorkIsReExecuted crashes place 1 while it provably
+// still holds queued work: its activities are locality-sensitive, so no
+// other place can take them, and each one waits on a gate that opens only
+// after every activity has been spawned. Place 1 therefore completes its
+// third activity — the crash trigger — with nearly all of its share still
+// queued, whatever the host's speed.
 func TestCrashedPlaceWorkIsReExecuted(t *testing.T) {
-	rt := chaosSum(t, Config{
+	const n = 400
+	rt := mustNew(t, Config{
 		Cluster: chaosCluster(),
 		Policy:  sched.DistWS,
 		Seed:    7,
 		Fault: &fault.Plan{
 			Crashes: []fault.Crash{{Place: 1, AfterTasks: 3}},
 		},
-	}, 400)
-	defer rt.Shutdown()
+	})
+	gate := make(chan struct{})
+	var sum, count atomic.Int64
+	err := rt.Run(func(ctx *Ctx) {
+		ctx.Finish(func(c *Ctx) {
+			for i := 0; i < n; i++ {
+				i := i
+				body := func(*Ctx) {
+					sum.Add(int64(i))
+					count.Add(1)
+				}
+				if home := i % c.Places(); home == 1 {
+					c.Async(home, func(cc *Ctx) {
+						<-gate
+						body(cc)
+					})
+				} else {
+					c.AsyncAny(home, body)
+				}
+			}
+			close(gate)
+		})
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got, want := sum.Load(), int64(n)*int64(n-1)/2; got != want || count.Load() != n {
+		t.Fatalf("sum = %d, want %d (executed %d of %d)", got, want, count.Load(), n)
+	}
 	s := rt.Metrics()
 	if s.PlacesLost != 1 {
 		t.Fatalf("PlacesLost = %d, want 1", s.PlacesLost)

@@ -13,40 +13,39 @@ import (
 	"distws/internal/task"
 )
 
-// activity is one schedulable unit of work — the X10 async.
+// activity is one schedulable unit of work — the X10 async. It is the
+// only allocation the runtime makes per task and stays within the 96-byte
+// size class: body, locality, the embedded Ctx (whose fin and home are the
+// activity's finish scope and programmer-specified place) and two words.
 type activity struct {
 	body func(*Ctx)
 	loc  task.Locality
-	home int // programmer-specified place
-	fin  *finish
-	// kind is the adapt controller's interned id for this activity's
-	// locality signature (adaptive policy only; see Runtime.mapClass).
-	kind     int32
-	interned bool
+	ctx  Ctx
+	// kind is 1 + the adapt controller's interned id for this activity's
+	// locality signature, 0 until interned (adaptive policy only; see
+	// Runtime.mapClass).
+	kind int32
 	// claimed is the dispatch-level dedup for the relaxed queues
 	// (multiplicity semantics): whichever taker wins this flag runs the
 	// activity; every other take of the same activity is discarded.
 	claimed atomic.Bool
 }
 
+// cacheLinePad keeps the fields on either side of it off a shared cache
+// line, so per-task writes to one group do not evict readers of the other.
+type cacheLinePad [64]byte
+
 // place mirrors the paper's Fig. 2: several workers with private deques
 // plus one shared deque for locality-flexible tasks, and the place-local
 // status object of §VI-B.
+//
+// The fields every spawn and sweep reads (id, workers, dead, draining)
+// change only on membership events; they sit on cache lines apart from
+// the counters and the shared deque, which change with every task.
 type place struct {
-	id int
-	rt *Runtime
-
+	id      int
+	rt      *Runtime
 	workers []*worker
-	shared  deque.Shared[*activity]
-
-	running  atomic.Int32  // activities currently executing here
-	queued   atomic.Int32  // activities queued here (private + shared)
-	spawnSeq atomic.Uint64 // per-place spawn counter (DistWS-NS round robin)
-
-	// active is the §VI-B place status bit: set when an activity is
-	// assigned, cleared after n successive failed steal sweeps.
-	active       atomic.Bool
-	failedSweeps atomic.Int32
 
 	// dead marks a fail-stopped place (fault injection): workers exit,
 	// thieves exclude it, and queued work is re-homed to survivors.
@@ -55,16 +54,34 @@ type place struct {
 	// it refuses new steals and spawns re-home, but in-flight activities
 	// complete normally; once they have, the place flips to dead.
 	draining atomic.Bool
-	// executed counts activities completed here, for the fault plan's
-	// AfterTasks crash trigger.
-	executed atomic.Int64
 
 	// lifelineWaiters holds place ids registered on this place's incoming
 	// lifelines (LifelineWS only); a bit set per place.
 	lifelineWaiters []atomic.Bool
+	wake            chan struct{}
+
+	_ cacheLinePad
+
+	running  atomic.Int32  // activities currently executing here
+	queued   atomic.Int32  // activities queued here (private + shared)
+	spawnSeq atomic.Uint64 // per-place spawn counter (DistWS-NS round robin)
+
+	// active is the §VI-B place status bit: set when an activity is
+	// assigned, cleared after n successive failed steal sweeps. Both are
+	// stored only when their value changes (see activate), so a busy
+	// place's hot path reads them without writing.
+	active       atomic.Bool
+	failedSweeps atomic.Int32
+
+	// executed counts activities completed here, for the fault plan's
+	// AfterTasks crash trigger.
+	executed atomic.Int64
 
 	rrWorker atomic.Uint32 // round-robin target for externally spawned tasks
-	wake     chan struct{}
+
+	_ cacheLinePad
+
+	shared deque.Shared[*activity]
 
 	// wg tracks this place's live worker goroutines so a heal/join can
 	// wait for a crashed generation to fully exit before restarting —
@@ -165,6 +182,18 @@ func (p *place) load() sched.PlaceLoad {
 
 func (p *place) nextSeq() uint64 { return p.spawnSeq.Add(1) }
 
+// activate marks the place active (§VI-B: assigning work reactivates it)
+// and resets its failed-sweep run. Each store happens only when it changes
+// the value, so a place that is already busy pays two loads.
+func (p *place) activate() {
+	if !p.active.Load() {
+		p.active.Store(true)
+	}
+	if p.failedSweeps.Load() != 0 {
+		p.failedSweeps.Store(0)
+	}
+}
+
 // enqueue places a freshly mapped activity in the chosen deque flavour and
 // wakes idle workers. Assigning work (re)activates the place (§VI-B).
 // spawner, when non-nil and co-located, receives private-target tasks in
@@ -172,8 +201,7 @@ func (p *place) nextSeq() uint64 { return p.spawnSeq.Add(1) }
 // stolen).
 func (p *place) enqueue(a *activity, target sched.Target, spawner *worker) {
 	p.queued.Add(1)
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
+	p.activate()
 	if target == sched.TargetShared {
 		if w := spawner; p.rt.receiver && w != nil && w.place == p {
 			// Receiver-initiated mode, spawn boundary: the spawning owner
@@ -221,8 +249,7 @@ func (p *place) enqueueStolen(chunk []*activity) {
 		p.queued.Add(1)
 		p.shared.Push(a)
 	}
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
+	p.activate()
 	p.wakeAll()
 	if p.dead.Load() {
 		p.rt.rescue(p)
@@ -274,7 +301,7 @@ func (p *place) serveLifelines() {
 // inactive (§VI-B).
 func (p *place) noteFailedSweep() {
 	n := p.failedSweeps.Add(1)
-	if int(n) >= sched.FailedStealQuiesceThreshold(p.rt.cfg.Cluster.WorkersPerPlace) {
+	if int(n) >= sched.FailedStealQuiesceThreshold(p.rt.cfg.Cluster.WorkersPerPlace) && p.active.Load() {
 		p.active.Store(false)
 	}
 }
@@ -320,6 +347,50 @@ type worker struct {
 	// CASes a request in; the owner answers at its next task-spawn or
 	// task-completion boundary. At most one request parks at a time.
 	mail atomic.Pointer[donateReq]
+
+	_ cacheLinePad
+
+	// Per-task counters and the busy-time word, written only by this
+	// worker's goroutine (a plain load-and-store, no locked add) and
+	// folded in by Runtime.Metrics and Runtime.Utilization. The pads keep
+	// them off the lines thieves and other workers write.
+	spawned  atomic.Int64 // activities this worker spawned
+	executed atomic.Int64 // activities this worker ran to completion
+	// busy holds the worker's not-parked time in nanoseconds since New,
+	// shifted left one bit. The low bit is set while a busy streak is
+	// open; the value is then the closed total minus the streak's start,
+	// so a reader adds the current time. One word keeps a concurrent
+	// reader from ever seeing a streak both open and already closed.
+	busy atomic.Int64
+
+	_ cacheLinePad
+}
+
+// inc bumps an owner-written counter without a locked instruction: only
+// the owning worker's goroutine writes it, and readers only load it.
+func inc(c *atomic.Int64) { c.Store(c.Load() + 1) }
+
+// openStreak starts a busy streak if none is open. A streak opens at the
+// first activity after a park and closes just before the next park, so
+// the plain run path reads no clock per task.
+func (w *worker) openStreak() {
+	if v := w.busy.Load(); v&1 == 0 {
+		w.busy.Store((v>>1-w.place.rt.nowNS())<<1 | 1)
+	}
+}
+
+// closeStreak ends the open busy streak, if any, before the worker parks.
+func (w *worker) closeStreak() {
+	if v := w.busy.Load(); v&1 != 0 {
+		w.busy.Store((v>>1 + w.place.rt.nowNS()) << 1)
+	}
+}
+
+// busyNS returns the worker's not-parked time up to now (nanoseconds
+// since New), an open streak included.
+func (w *worker) busyNS(now int64) int64 {
+	v := w.busy.Load()
+	return v>>1 + (v&1)*now
 }
 
 // claim marks a as dispatched exactly once. The relaxed queues may hand a
@@ -375,6 +446,7 @@ func (w *worker) serveMail() {
 func (w *worker) loop() {
 	rt := w.place.rt
 	defer rt.workerWG.Done()
+	defer w.closeStreak()
 	for !rt.shutdown.Load() && !w.place.dead.Load() {
 		a, how := w.findWork()
 		if a == nil {
@@ -384,6 +456,7 @@ func (w *worker) loop() {
 			if rt.cfg.Policy == sched.LifelineWS {
 				w.registerLifelines()
 			}
+			w.closeStreak()
 			select {
 			case <-w.place.wake:
 			case <-time.After(rt.cfg.IdlePoll):
@@ -639,8 +712,7 @@ func (w *worker) stealRemoteReceiver() *activity {
 		}
 		if kept > 0 {
 			p.queued.Add(int32(kept))
-			p.active.Store(true)
-			p.failedSweeps.Store(0)
+			p.activate()
 			rt.record(p.id, w.local, obs.KindArrive, -1, int32(kept), 0)
 			p.wakeAll()
 			if p.dead.Load() {
@@ -814,14 +886,17 @@ func (w *worker) registerLifelines() {
 	}
 }
 
-// run executes one activity and performs all the paper's accounting: busy
-// time for Fig. 7, migration/cache effects for Tables II–III.
+// run executes one activity and performs all the paper's accounting:
+// migration/cache effects for Tables II–III, and — only when the recorder
+// or the adapt controller needs them — per-task service times. Without
+// either, run reads no clock: busy time for Fig. 7 comes from the
+// worker's busy streaks instead.
 func (w *worker) run(a *activity, how stealKind) {
 	rt := w.place.rt
 	p := w.place
+	w.openStreak()
 	p.running.Add(1)
-	p.active.Store(true)
-	p.failedSweeps.Store(0)
+	p.activate()
 
 	// Only genuine steals count (Fig. 3): taking a task from a co-located
 	// worker's private deque. Polling the own place's shared deque is the
@@ -829,7 +904,7 @@ func (w *worker) run(a *activity, how stealKind) {
 	if how == tookLocalSteal {
 		rt.counters.LocalSteals.Add(1)
 	}
-	migrated := p.id != a.home
+	migrated := p.id != int(a.ctx.home)
 	if migrated {
 		rt.counters.TasksMigrated.Add(1)
 		// Remote data references the task performs when run off-home.
@@ -844,22 +919,30 @@ func (w *worker) run(a *activity, how stealKind) {
 		rt.counters.CacheMisses.Add(int64(misses))
 	}
 
-	rt.record(p.id, w.local, obs.KindTaskStart, -1, int32(a.home), 0)
-	start := time.Now()
-	ctx := &Ctx{rt: rt, placeID: p.id, worker: w, fin: a.fin}
+	rt.record(p.id, w.local, obs.KindTaskStart, -1, a.ctx.home, 0)
+	timed := rt.rec != nil || rt.ctrl != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	a.ctx.rt, a.ctx.worker, a.ctx.placeID = rt, w, int32(p.id)
 	func() {
-		defer a.fin.done()
+		defer a.ctx.fin.done()
 		defer func() {
+			// Counted before the finish can complete, so Metrics after
+			// Run sees every task of the run.
+			inc(&w.executed)
 			if v := recover(); v != nil {
-				a.fin.fail(v)
+				a.ctx.fin.fail(v)
 			}
 		}()
-		a.body(ctx)
+		a.body(&a.ctx)
 	}()
-	elapsed := time.Since(start).Nanoseconds()
-	rt.util.AddBusy(p.id, elapsed)
-	rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
-	rt.counters.TasksExecuted.Add(1)
+	var elapsed int64
+	if timed {
+		elapsed = time.Since(start).Nanoseconds()
+		rt.record(p.id, w.local, obs.KindTaskEnd, -1, 0, elapsed)
+	}
 	p.running.Add(-1)
 
 	// Feed the measured service time back to the adapt controller. The
@@ -867,7 +950,7 @@ func (w *worker) run(a *activity, how stealKind) {
 	// hardware counters), so it passes 0 and the controller falls back to
 	// the home/away service-time ratio alone.
 	if rt.ctrl != nil {
-		if flipped, cls := rt.ctrl.ObserveExec(a.kind, migrated, elapsed, 0); flipped {
+		if flipped, cls := rt.ctrl.ObserveExec(a.kind-1, migrated, elapsed, 0); flipped {
 			rt.counters.Reclassifications.Add(1)
 			rt.record(p.id, w.local, obs.KindReclassify, -1, int32(cls), 0)
 		}

@@ -120,12 +120,15 @@ func (c Config) withDefaults() Config {
 
 // Runtime is a running APGAS instance. Create with New, release with
 // Shutdown.
+//
+// The fields up to the pad are read on every spawn and sweep and written
+// only by New and Shutdown; they sit apart from the counters, which
+// workers write. The per-task counters live on the workers (see worker),
+// so no cache line is written by every core on every task.
 type Runtime struct {
-	cfg      Config
-	places   []*place
-	counters metrics.Counters
-	util     *metrics.Utilization
-	rec      *obs.Recorder // scheduling-event recorder (nil = tracing off)
+	cfg    Config
+	places []*place
+	rec    *obs.Recorder // scheduling-event recorder (nil = tracing off)
 	// ctrl is the adapt feedback controller (non-nil only under
 	// sched.Adaptive): it supplies each activity's online classification
 	// in place of the annotation, the per-place steal chunk size, and
@@ -146,7 +149,15 @@ type Runtime struct {
 	// stopCh is closed by the first Shutdown so blocked RunContext calls
 	// unblock with ErrShutdown instead of waiting on a finish that the
 	// exiting workers will never complete.
-	stopCh   chan struct{}
+	stopCh  chan struct{}
+	started time.Time
+
+	_ cacheLinePad
+
+	// counters holds every event count except the per-task ones workers
+	// keep themselves; Metrics folds those in. Spawns from outside the
+	// worker pool (Run, At bodies) count here.
+	counters metrics.Counters
 	workerWG sync.WaitGroup
 
 	// timers fire the fault plan's wall-clock churn schedule (joins,
@@ -155,13 +166,11 @@ type Runtime struct {
 	// churnMu serializes worker restarts (join/heal) against Shutdown so
 	// workerWG.Add never races the final Wait.
 	churnMu sync.Mutex
-
-	started time.Time
 }
 
-// nowNS is the runtime's wall clock for time-windowed fault decisions,
-// measured from New — the same origin the sim's virtual clock uses from
-// its t=0, so one Plan drives both.
+// nowNS is the runtime's wall clock for time-windowed fault decisions and
+// busy streaks, measured from New — the same origin the sim's virtual
+// clock uses from its t=0, so one Plan drives both.
 func (rt *Runtime) nowNS() int64 { return time.Since(rt.started).Nanoseconds() }
 
 // sleepUntil blocks until the runtime clock reaches atNS or the runtime
@@ -198,7 +207,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:      cfg,
 		receiver: cfg.Deque == deque.KindRelaxed,
-		util:     metrics.NewUtilization(cfg.Cluster.Places),
 		rec:      cfg.Recorder,
 		inj:      fault.NewInjector(cfg.Fault),
 		down:     fault.NewDownSet(cfg.Cluster.Places),
@@ -281,8 +289,18 @@ func (rt *Runtime) WorkersPerPlace() int { return rt.cfg.Cluster.WorkersPerPlace
 // Policy returns the active scheduling policy.
 func (rt *Runtime) Policy() sched.Kind { return rt.cfg.Policy }
 
-// Metrics returns a snapshot of the run's counters.
-func (rt *Runtime) Metrics() metrics.Snapshot { return rt.counters.Snapshot() }
+// Metrics returns a snapshot of the run's counters, the workers' per-task
+// counts folded in.
+func (rt *Runtime) Metrics() metrics.Snapshot {
+	s := rt.counters.Snapshot()
+	for _, p := range rt.places {
+		for _, w := range p.workers {
+			s.TasksSpawned += w.spawned.Load()
+			s.TasksExecuted += w.executed.Load()
+		}
+	}
+	return s
+}
 
 // record logs one scheduling event when tracing is on. The nil check is
 // the disabled fast path: one predictable branch, no call, no allocation.
@@ -292,10 +310,18 @@ func (rt *Runtime) record(place, worker int, k obs.Kind, taskID, arg int32, dur 
 	}
 }
 
-// Utilization returns per-place busy fractions since New, in percent.
+// Utilization returns per-place busy fractions since New, in percent. A
+// worker is busy while it is not parked: from the first activity it runs
+// after a park until it next parks idle, streaks still open included.
 func (rt *Runtime) Utilization() []float64 {
-	elapsed := time.Since(rt.started).Nanoseconds()
-	return rt.util.Fractions(elapsed, rt.cfg.Cluster.WorkersPerPlace)
+	now := rt.nowNS()
+	u := metrics.NewUtilization(len(rt.places))
+	for _, p := range rt.places {
+		for _, w := range p.workers {
+			u.AddBusy(p.id, w.busyNS(now))
+		}
+	}
+	return u.Fractions(now, rt.cfg.Cluster.WorkersPerPlace)
 }
 
 // Shutdown stops all workers and waits for them to exit. Pending tasks are
@@ -362,8 +388,7 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 	rt.spawn(&activity{
 		body: body,
 		loc:  task.SensitiveLocality,
-		home: 0,
-		fin:  fin,
+		ctx:  Ctx{fin: fin, home: 0},
 	}, -1, nil)
 	select {
 	case <-fin.doneCh:
@@ -384,13 +409,18 @@ func (rt *Runtime) RunContext(ctx context.Context, body func(*Ctx)) error {
 // message carrying the task payload. A spawn addressed to a crashed place
 // is re-homed to the next surviving place.
 func (rt *Runtime) spawn(a *activity, from int, spawner *worker) {
-	rt.counters.TasksSpawned.Add(1)
-	if rt.places[a.home].dead.Load() || rt.places[a.home].draining.Load() {
-		a.home = rt.down.NextAlive(a.home)
+	if spawner != nil {
+		inc(&spawner.spawned)
+	} else {
+		rt.counters.TasksSpawned.Add(1)
 	}
-	home := rt.places[a.home]
-	rt.record(a.home, 0, obs.KindSpawn, -1, int32(from), 0)
-	if from >= 0 && from != a.home {
+	home := rt.places[a.ctx.home]
+	if home.dead.Load() || home.draining.Load() {
+		a.ctx.home = int32(rt.down.NextAlive(int(a.ctx.home)))
+		home = rt.places[a.ctx.home]
+	}
+	rt.record(home.id, 0, obs.KindSpawn, -1, int32(from), 0)
+	if from >= 0 && from != home.id {
 		rt.counters.Messages.Add(1)
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
 	}
@@ -408,11 +438,10 @@ func (rt *Runtime) mapClass(a *activity) task.Class {
 	if rt.ctrl == nil {
 		return a.loc.Class
 	}
-	if !a.interned {
-		a.kind = rt.ctrl.Intern(adapt.Signature(0, len(a.loc.Blocks), a.loc.RemoteRefs, a.loc.MigrationBytes))
-		a.interned = true
+	if a.kind == 0 {
+		a.kind = 1 + rt.ctrl.Intern(adapt.Signature(0, len(a.loc.Blocks), a.loc.RemoteRefs, a.loc.MigrationBytes))
 	}
-	return rt.ctrl.Classify(a.kind)
+	return rt.ctrl.Classify(a.kind - 1)
 }
 
 // crashPlace fail-stops p: its workers exit after the activity they are
@@ -503,8 +532,8 @@ func (rt *Runtime) rehomeQueued(p *place, reexec bool) {
 		// Recovery ships the task once to its new home.
 		rt.counters.Messages.Add(1)
 		rt.counters.BytesTransferred.Add(int64(a.loc.MigrationBytes))
-		a.home = rt.down.NextAlive(p.id + 1 + i)
-		home := rt.places[a.home]
+		a.ctx.home = int32(rt.down.NextAlive(p.id + 1 + i))
+		home := rt.places[a.ctx.home]
 		target := sched.MapTask(rt.cfg.Policy, rt.mapClass(a), home.load(), home.nextSeq())
 		home.enqueue(a, target, nil)
 	}
