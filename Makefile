@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity chaos soak serve-soak
+.PHONY: all build test race vet check bench bench-smoke fuzz-smoke deque-parity dag-parity exhibit-golden chaos soak serve-soak
 
 all: check
 
@@ -61,6 +61,21 @@ dag-parity: build
 	for f in "$$dir"/*.txt; do cmp "$$dir/mutex-1.txt" "$$f"; done; \
 	echo "dag parity OK: exhibit byte-identical across deque kinds and worker counts"
 
+# Cross-commit simulator gate: the deterministic exhibits at seed 1 must
+# match the recorded output byte for byte (the trailing "regenerated ..."
+# line, which carries elapsed time, is stripped). deque-parity and
+# dag-parity compare runs of one build with each other; this compares the
+# build with the recorded reference, so an engine change that alters any
+# scheduling decision shows here. Regenerate the file only for a change
+# that is meant to alter results, and say so in the change.
+GOLDEN_EXHIBITS := fig3,fig5,fig6,fig7,table1,table2,table3,granularity,uts,adaptive,contention,dag
+exhibit-golden: build
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/distws-experiments -seed 1 -only $(GOLDEN_EXHIBITS) \
+		| grep -v '^regenerated ' > "$$out"; \
+	diff -u internal/expt/testdata/exhibits-seed1.txt "$$out"; \
+	echo "exhibit golden OK: seed-1 exhibits match internal/expt/testdata/exhibits-seed1.txt"
+
 # 30-second coverage-guided shakes of the binary wire codecs: the TCP
 # transport frame, the service job/reply frames, and the task envelope
 # (DAG dataflow fields included) all face untrusted bytes, so malformed
@@ -72,7 +87,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDAGEnvelope -fuzztime=30s ./internal/task
 
 # The gate a change must pass before merging.
-check: build vet test race bench-smoke deque-parity dag-parity fuzz-smoke
+check: build vet test race bench-smoke deque-parity dag-parity exhibit-golden fuzz-smoke
 
 # Full measurement: refreshes the machine-readable perf baseline
 # (BENCH_sim.json) and prints the per-exhibit Go benchmarks, including the

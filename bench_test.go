@@ -21,6 +21,7 @@ import (
 	"distws/internal/expt"
 	"distws/internal/sched"
 	"distws/internal/sim"
+	"distws/internal/trace"
 )
 
 var (
@@ -195,14 +196,7 @@ func BenchmarkContentionStudy(b *testing.B) {
 // in benchmark output.
 func BenchmarkSimulator128Workers(b *testing.B) {
 	r := runner()
-	app, err := suite.ByName("dmg", suite.Small, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := r.Trace(app, r.Cluster.Places)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := sim128Graph(b, r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int64
@@ -218,6 +212,41 @@ func BenchmarkSimulator128Workers(b *testing.B) {
 	}
 }
 
+// sim128Graph is the BenchmarkSimulator128Workers workload: the small DMG
+// trace on the runner's 16x8 cluster.
+func sim128Graph(tb testing.TB, r *expt.Runner) *trace.Graph {
+	tb.Helper()
+	app, err := suite.ByName("dmg", suite.Small, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := r.Trace(app, r.Cluster.Places)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestSimulator128WorkersAllocs guards the simulator's allocation budget
+// on the BenchmarkSimulator128Workers workload: at most 1351 allocations
+// per run. Steady-state events allocate nothing; the budget is the
+// per-run set-up (places, workers, caches, victim buffers) plus scratch
+// growth.
+func TestSimulator128WorkersAllocs(t *testing.T) {
+	r := runner()
+	g := sim128Graph(t, r)
+	run := func() {
+		if _, err := sim.Run(g, r.Cluster, sched.DistWS, sim.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, run)
+	t.Logf("%.0f allocations per run", allocs)
+	if allocs > 1351 {
+		t.Fatalf("%.0f allocations per run, want at most 1351", allocs)
+	}
+}
+
 // BenchmarkSimulatorTracing measures what the observability subsystem
 // costs the simulator hot path: "off" runs with a nil recorder (the
 // default; the acceptance budget is ≤2% slowdown and zero extra
@@ -226,14 +255,7 @@ func BenchmarkSimulator128Workers(b *testing.B) {
 // across same-shape runs).
 func BenchmarkSimulatorTracing(b *testing.B) {
 	r := runner()
-	app, err := suite.ByName("dmg", suite.Small, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := r.Trace(app, r.Cluster.Places)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := sim128Graph(b, r)
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -175,7 +175,13 @@ func (c *Coordinator) Run(batches []Batch) error {
 		}
 	}
 
+	// One timer, re-armed every iteration, fires after RetryAfter without
+	// any event. A time.After per iteration would leave each armed timer
+	// live until it expired, about rate × RetryAfter of them under load.
+	retry := time.NewTimer(c.RetryAfter)
+	defer retry.Stop()
 	for c.pending > 0 {
+		rearm(retry, c.RetryAfter)
 		select {
 		case m, ok := <-c.Node.Inbox():
 			if !ok {
@@ -188,7 +194,7 @@ func (c *Coordinator) Run(batches []Batch) error {
 			if err := c.detect(); err != nil {
 				return err
 			}
-		case <-time.After(c.RetryAfter):
+		case <-retry.C:
 			c.logf("coordinator: no progress for %v, re-sending %d batch(es)", c.RetryAfter, c.pending)
 			if err := c.retryOutstanding(); err != nil {
 				return err
@@ -206,6 +212,17 @@ func (c *Coordinator) Run(batches []Batch) error {
 		}
 	}
 	return nil
+}
+
+// rearm stops t, drains a fire nobody received, and restarts it for d.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // handle processes one protocol message.

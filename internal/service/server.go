@@ -161,12 +161,18 @@ func (s *Server) Serve(ctx context.Context) error {
 		tick = t.C
 	}
 
+	// One timer, re-armed every iteration, fires after RetryAfter without
+	// any event. A time.After per iteration would leave each armed timer
+	// live until it expired, about rate × RetryAfter of them under load.
+	retry := time.NewTimer(s.RetryAfter)
+	defer retry.Stop()
 	drainCh := s.drainCh
 	for {
 		if s.stopping && s.fs.Len() == 0 && len(s.seqs) == 0 {
 			s.release()
 			return ErrServerClosed
 		}
+		rearm(retry, s.RetryAfter)
 		select {
 		case <-ctx.Done():
 			s.nackQueued(NackDraining)
@@ -187,7 +193,7 @@ func (s *Server) Serve(ctx context.Context) error {
 			if err := s.detect(); err != nil {
 				return err
 			}
-		case <-time.After(s.RetryAfter):
+		case <-retry.C:
 			if len(s.seqs) == 0 {
 				continue
 			}
@@ -197,6 +203,17 @@ func (s *Server) Serve(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// rearm stops t, drains a fire nobody received, and restarts it for d.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // release broadcasts shutdown to the surviving executors.

@@ -486,3 +486,68 @@ func TestParseTenantSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceRetryAfterSilence exercises the server's no-progress timer:
+// the first execution of a job stalls without replying, so after
+// RetryAfter of silence the server re-dispatches it, the retry's reply
+// completes the call, and the stalled twin's late reply is dropped.
+func TestServiceRetryAfterSilence(t *testing.T) {
+	const places = 2
+	m := comm.NewMesh(places+1, 64, nil)
+	reg := task.NewRegistry()
+	reg.Register("svc.stall", func([]byte) error { return nil })
+
+	release := make(chan struct{})
+	var runs atomic.Int64
+	ex := &node.Executor{
+		Node:        meshNode{m.Endpoint(1)},
+		Place:       1,
+		Registry:    reg,
+		Concurrency: 2,
+		Run: func(name string, arg []byte) ([]byte, error) {
+			if runs.Add(1) == 1 {
+				<-release
+			}
+			return u64(binary.BigEndian.Uint64(arg) * 2), nil
+		},
+	}
+	exDone := make(chan error, 1)
+	go func() { _, err := ex.Serve(); exDone <- err }()
+
+	var ctrs metrics.Counters
+	srv := &Server{
+		Node:       meshNode{m.Endpoint(0)},
+		Places:     places,
+		Tenants:    map[uint32]TenantConfig{1: {}},
+		Registry:   reg,
+		Counters:   &ctrs,
+		RetryAfter: 50 * time.Millisecond,
+	}
+	srvDone := make(chan error, 1)
+	go func() { srvDone <- srv.Serve(context.Background()) }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := NewClient(meshNode{m.Endpoint(places)}, 0)
+	r, err := c.Call(ctx, Job{Tenant: 1, Name: "svc.stall", Arg: u64(21)})
+	if err != nil || r.Code != OK || binary.BigEndian.Uint64(r.Result) != 42 {
+		t.Fatalf("call: reply %+v err %v", r, err)
+	}
+	// A slow host may let a retry itself outlast RetryAfter, so only the
+	// lower bounds are fixed; completion stays exactly once regardless.
+	if runs.Load() < 2 || ctrs.Retries.Load() < 1 || ctrs.JobsCompleted.Load() != 1 {
+		t.Fatalf("runs=%d retries=%d completed=%d, want >= 2, >= 1, 1",
+			runs.Load(), ctrs.Retries.Load(), ctrs.JobsCompleted.Load())
+	}
+	close(release)
+	srv.Drain()
+	if err := <-srvDone; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if err := <-exDone; err != nil {
+		t.Fatalf("executor: %v", err)
+	}
+	if ctrs.JobsCompleted.Load() != 1 {
+		t.Fatalf("JobsCompleted = %d after the stalled twin replied, want 1", ctrs.JobsCompleted.Load())
+	}
+}

@@ -67,6 +67,9 @@ func RunDAG(g *dag.Graph, cl topology.Cluster, policy sched.Kind, pol dag.Policy
 	if err := opts.Fault.Validate(cl.Places); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if err := checkFits(g.NumTasks(), cl.Workers()); err != nil {
+		return nil, err
+	}
 
 	sch := dag.NewSchedule(g)
 	ds := &dagState{
@@ -126,7 +129,7 @@ func (e *engine) dagRelease(ids []int, from, fromW int) {
 		home := e.dagHome(r)
 		e.ctrs.DAGTasksReleased.Add(1)
 		e.record(home, 0, obs.KindDAGRelease, int32(r), int32(home), 0)
-		e.push(event{at: e.now, kind: evSpawn, taskID: r, home: home, from: from, fromW: fromW})
+		e.pushSpawn(e.now, r, home, from, fromW, false)
 	}
 }
 

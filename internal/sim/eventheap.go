@@ -9,8 +9,10 @@ package sim
 //
 // The 4-ary layout halves the tree depth of a binary heap: pushes compare
 // against fewer ancestors and the wider nodes keep sift-down traffic in
-// adjacent cache lines, which matters for the simulator's large (≈ 100
-// byte) event records.
+// adjacent cache lines. Sifts move a hole instead of swapping: each level
+// copies one 48-byte record, and the sifted event is written once, into
+// its final slot. Events hold no pointers, so vacated slots need no
+// clearing.
 type eventHeap struct {
 	ev []event
 }
@@ -24,40 +26,43 @@ func eventLess(a, b *event) bool {
 
 func (h *eventHeap) len() int { return len(h.ev) }
 
-// push inserts e, sifting it up toward the root.
+// push inserts e, moving the hole at the tail up toward the root until
+// e's parent orders before it.
 func (h *eventHeap) push(e event) {
 	h.ev = append(h.ev, e)
 	i := len(h.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !eventLess(&h.ev[i], &h.ev[parent]) {
+		if !eventLess(&e, &h.ev[parent]) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		h.ev[i] = h.ev[parent]
 		i = parent
 	}
+	h.ev[i] = e
 }
 
-// pop removes and returns the minimum event. The vacated slot is zeroed so
-// the heap's backing array does not retain batch slices.
+// pop removes and returns the minimum event: the tail event fills the hole
+// left at the root, sifting down.
 func (h *eventHeap) pop() event {
 	top := h.ev[0]
 	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
-	h.ev[n] = event{}
-	h.ev = h.ev[:n]
-	if n > 1 {
-		h.siftDown(0)
+	if n > 0 {
+		h.siftDown(h.ev[n], n)
 	}
+	h.ev = h.ev[:n]
 	return top
 }
 
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.ev)
+// siftDown places e in the hole at the root of the first n slots, moving
+// the smaller child up while it orders before e.
+func (h *eventHeap) siftDown(e event, n int) {
+	ev := h.ev[:n]
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		last := first + 4
@@ -65,14 +70,15 @@ func (h *eventHeap) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventLess(&h.ev[c], &h.ev[min]) {
+			if eventLess(&ev[c], &ev[min]) {
 				min = c
 			}
 		}
-		if !eventLess(&h.ev[min], &h.ev[i]) {
-			return
+		if !eventLess(&ev[min], &e) {
+			break
 		}
-		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
+		ev[i] = ev[min]
 		i = min
 	}
+	ev[i] = e
 }

@@ -24,6 +24,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"distws/internal/adapt"
@@ -176,18 +178,53 @@ const (
 	evPartition               // an injected partition takes effect (place = smaller-side size)
 )
 
+// event is one entry of the event heap: 48 bytes and pointer-free, so a
+// sift moves a small record and the garbage collector never scans the
+// heap's backing array. Ids are int32 (Run rejects graphs and clusters
+// whose ids do not fit); an evArrive payload lives in the engine's batch
+// slab and the event carries its slot index.
 type event struct {
 	at      int64
 	seq     uint64
+	worker  int32 // evWake, evDone
+	taskID  int32 // evSpawn, evDone
+	home    int32 // evSpawn: resolved home place
+	from    int32 // evSpawn: spawning place (-1 for roots)
+	fromW   int32 // evSpawn: spawning worker id (-1 if none/remote)
+	place   int32 // evArrive, evCrash
+	batch   int32 // evArrive: payload slot in engine.batches
 	kind    evKind
-	worker  int   // evWake, evDone
-	taskID  int   // evSpawn, evDone
-	home    int   // evSpawn: resolved home place
-	from    int   // evSpawn: spawning place (-1 for roots)
-	fromW   int   // evSpawn: spawning worker id (-1 if none/remote)
-	place   int   // evArrive, evCrash
-	batch   []int // evArrive payload
-	requeue bool  // evSpawn: re-enqueue after a place failure, not a fresh spawn
+	requeue bool // evSpawn: re-enqueue after a place failure, not a fresh spawn
+}
+
+// evArgs is an event unpacked for its handler: int-typed ids and the
+// evArrive payload resolved from the batch slab.
+type evArgs struct {
+	worker, taskID, home, from, fromW, place int
+	batch                                    []int
+	requeue                                  bool
+}
+
+// SizeError reports a graph or cluster whose task or worker ids do not
+// fit the simulator's 32-bit event fields.
+type SizeError struct {
+	What string // "tasks" or "workers"
+	N    int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("sim: %d %s exceed the simulator's limit of %d", e.N, e.What, math.MaxInt32)
+}
+
+// checkFits returns a *SizeError when tasks or workers overflow an int32.
+func checkFits(tasks, workers int) error {
+	if tasks > math.MaxInt32 {
+		return &SizeError{What: "tasks", N: tasks}
+	}
+	if workers > math.MaxInt32 {
+		return &SizeError{What: "workers", N: workers}
+	}
+	return nil
 }
 
 type simWorker struct {
@@ -200,7 +237,8 @@ type simWorker struct {
 	// the place loses it mid-flight, so recovery re-homes it.
 	curTask int
 	// wakePending dedups wake events so a dormant worker has at most one
-	// outstanding wake.
+	// outstanding wake. busy and wakePending change only through
+	// engine.setState, which keeps the wake index in step.
 	wakePending bool
 	// rng drives this worker's victim selection. It is seeded lazily on the
 	// first remote-steal sweep: seeding a math/rand source costs a 607-word
@@ -222,6 +260,9 @@ type simPlace struct {
 	running      int
 	queued       int
 	pendingWakes int // wakes scheduled but not yet handled
+	// wakeable counts workers neither busy nor holding a pending wake —
+	// the ones wakeFor may pick. engine.wakeBits mirrors wakeable > 0.
+	wakeable     int
 	active       bool
 	failedSweeps int
 	spawnSeq     uint64
@@ -262,6 +303,10 @@ type engine struct {
 	tasksDone int
 	lastDone  int64
 	remoteRR  int
+	// wakeBits has bit p set while place p has a wakeable worker, so the
+	// remote wake search visits only candidate places instead of every
+	// worker of the cluster.
+	wakeBits []uint64
 
 	// resolvedHome is each task's home place as fixed at spawn time
 	// (HomeInherit children are homed at their parent's executing place).
@@ -290,10 +335,13 @@ type engine struct {
 	// performs no per-event heap allocations:
 	//   - stealBuf receives each steal chunk (consumed within stealRemote);
 	//   - aliasBuf receives aliased block IDs (consumed within start);
-	//   - batchPool recycles evArrive payload slices after delivery.
+	//   - batches is the slab of evArrive payloads, indexed by
+	//     event.batch; delivered slots form a free list from freeBatch
+	//     (-1 when empty), and their slices are reused by later arrivals.
 	stealBuf  []int
 	aliasBuf  []uint64
-	batchPool [][]int
+	batches   []batchSlot
+	freeBatch int32
 	// obsBuf accumulates one steal sweep's probe outcomes for a single
 	// locked hand-off to the adapt controller (sched.Adaptive only).
 	// When the controller is unsynchronized (obsDirect) the batching
@@ -308,21 +356,59 @@ type engine struct {
 	dag *dagState
 }
 
-// getBatch returns a recycled evArrive payload slice (possibly nil; callers
-// append into it), and putBatch returns a delivered payload to the pool.
-func (e *engine) getBatch() []int {
-	if n := len(e.batchPool); n > 0 {
-		b := e.batchPool[n-1]
-		e.batchPool = e.batchPool[:n-1]
-		return b[:0]
-	}
-	return nil
+// batchSlot is one evArrive payload in the engine's slab; next links
+// free slots.
+type batchSlot struct {
+	ids  []int
+	next int32
 }
 
-func (e *engine) putBatch(b []int) {
-	if cap(b) > 0 {
-		e.batchPool = append(e.batchPool, b[:0])
+// pushArrive schedules ids to arrive at place's shared deque at at. The
+// ids are copied into a free slot of the batch slab; freeArrive returns
+// the slot once handleArrive has consumed it.
+func (e *engine) pushArrive(at int64, place int, ids []int) {
+	slot := e.freeBatch
+	if slot >= 0 {
+		e.freeBatch = e.batches[slot].next
+	} else {
+		slot = int32(len(e.batches))
+		e.batches = append(e.batches, batchSlot{})
 	}
+	b := &e.batches[slot]
+	b.ids = append(b.ids[:0], ids...)
+	e.push(event{at: at, kind: evArrive, place: int32(place), batch: slot})
+}
+
+// freeArrive returns a delivered payload slot to the free list; its slice
+// keeps its capacity for the next arrival.
+func (e *engine) freeArrive(slot int32) {
+	e.batches[slot].next = e.freeBatch
+	e.freeBatch = slot
+}
+
+// pushSpawn schedules task id to become available at home at at.
+func (e *engine) pushSpawn(at int64, id, home, from, fromW int, requeue bool) {
+	e.push(event{at: at, kind: evSpawn, taskID: int32(id), home: int32(home),
+		from: int32(from), fromW: int32(fromW), requeue: requeue})
+}
+
+// pushPlace schedules a place-level event (crash, join, drain, heal,
+// partition) at at.
+func (e *engine) pushPlace(at int64, kind evKind, place int) {
+	e.push(event{at: at, kind: kind, place: int32(place)})
+}
+
+// unpack widens ev for its handler.
+func (e *engine) unpack(ev *event) evArgs {
+	a := evArgs{
+		worker: int(ev.worker), taskID: int(ev.taskID), home: int(ev.home),
+		from: int(ev.from), fromW: int(ev.fromW), place: int(ev.place),
+		requeue: ev.requeue,
+	}
+	if ev.kind == evArrive {
+		a.batch = e.batches[ev.batch].ids
+	}
+	return a
 }
 
 // Run simulates graph g on cluster cl under policy, returning the run's
@@ -345,14 +431,16 @@ func Run(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options) (
 	if err := opts.Fault.Validate(cl.Places); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if err := checkFits(len(g.Tasks), cl.Workers()); err != nil {
+		return nil, err
+	}
 	return runEngine(g, cl, policy, opts, nil)
 }
 
-// runEngine is the shared event loop behind Run and RunDAG. The caller
-// has validated its inputs and applied option defaults; ds selects
-// dataflow mode (nil for fork-join traces).
-func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options, ds *dagState) (*Result, error) {
-	e := &engine{g: g, cl: cl, policy: policy, opts: opts, dag: ds}
+// newEngine builds the cluster state for one run and schedules its
+// initial events: fault-plan events and the root spawns.
+func newEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options, ds *dagState) *engine {
+	e := &engine{g: g, cl: cl, policy: policy, opts: opts, dag: ds, freeBatch: -1}
 	e.rec = opts.Recorder
 	// Events are stamped with the event loop's virtual time via RecordAt
 	// (every record call runs inside its event's handler, so e.now is
@@ -392,33 +480,13 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if e.stealTimeoutNS <= 0 {
 		e.stealTimeoutNS = 4 * cl.Net.RoundTripNS(32, 32)
 	}
-	e.places = make([]*simPlace, cl.Places)
-	for p := range e.places {
-		e.places[p] = &simPlace{
-			id:        p,
-			lifelines: make([]bool, cl.Places),
-			cache:     cachesim.New(opts.CacheBlocks),
-		}
-	}
-	for p, pl := range e.places {
-		pl.workers = make([]*simWorker, cl.WorkersPerPlace)
-		for i := range pl.workers {
-			w := &simWorker{
-				id:      p*cl.WorkersPerPlace + i,
-				local:   i,
-				place:   pl,
-				curTask: -1,
-			}
-			pl.workers[i] = w
-			e.workers = append(e.workers, w)
-		}
-	}
+	e.buildCluster()
 
 	// Schedule the plan's virtual-time crashes before any work exists so
 	// heap ordering alone decides what they interrupt.
 	for p := range e.places {
 		if at, ok := e.inj.CrashAtNS(p); ok {
-			e.push(event{at: at, kind: evCrash, place: p})
+			e.pushPlace(at, evCrash, p)
 		}
 	}
 	// Churn schedule: late joiners start absent, drains and flap cycles
@@ -428,23 +496,23 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	if f := opts.Fault; f != nil {
 		for _, j := range f.Joins {
 			e.places[j.Place].dead = true
-			e.push(event{at: j.AtNS, kind: evJoin, place: j.Place})
+			e.pushPlace(j.AtNS, evJoin, j.Place)
 		}
 		for _, d := range f.Drains {
-			e.push(event{at: d.AtNS, kind: evDrain, place: d.Place})
+			e.pushPlace(d.AtNS, evDrain, d.Place)
 		}
 		for _, fl := range f.Flaps {
 			period := fl.DownNS + fl.UpNS
 			for i := 0; i < fl.Cycles; i++ {
 				at := fl.AtNS + int64(i)*period
-				e.push(event{at: at, kind: evCrash, place: fl.Place})
-				e.push(event{at: at + fl.DownNS, kind: evHeal, place: fl.Place})
+				e.pushPlace(at, evCrash, fl.Place)
+				e.pushPlace(at+fl.DownNS, evHeal, fl.Place)
 			}
 		}
 		for _, part := range f.Partitions {
-			e.push(event{at: part.AtNS, kind: evPartition, place: len(part.GroupA)})
+			e.pushPlace(part.AtNS, evPartition, len(part.GroupA))
 			if part.HealNS > 0 {
-				e.push(event{at: part.HealNS, kind: evHeal, place: -1})
+				e.pushPlace(part.HealNS, evHeal, -1)
 			}
 		}
 	}
@@ -459,38 +527,51 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 			if home < 0 || home >= cl.Places {
 				home = 0
 			}
-			e.push(event{at: 0, kind: evSpawn, taskID: r, home: home, from: -1, fromW: -1})
+			e.pushSpawn(0, r, home, -1, -1, false)
 		}
 	}
+	return e
+}
 
-	for e.events.len() > 0 && e.tasksDone < len(g.Tasks) {
-		ev := e.events.pop()
-		e.now = ev.at
-		e.eventsHandled++
-		switch ev.kind {
-		case evSpawn:
-			e.handleSpawn(ev)
-		case evWake:
-			e.handleWake(ev.worker)
-		case evDone:
-			e.handleDone(ev)
-		case evArrive:
-			e.handleArrive(ev)
-		case evCrash:
-			e.crashPlace(e.places[ev.place])
-		case evJoin:
-			e.joinPlace(e.places[ev.place])
-		case evDrain:
-			e.drainPlace(e.places[ev.place])
-		case evHeal:
-			if ev.place < 0 {
-				e.record(0, 0, obs.KindHeal, -1, -1, 0)
-			} else {
-				e.healPlace(e.places[ev.place])
-			}
-		case evPartition:
-			e.record(0, 0, obs.KindPartition, -1, int32(ev.place), 0)
+// step pops the next event and runs its handler.
+func (e *engine) step() {
+	ev := e.events.pop()
+	e.now = ev.at
+	e.eventsHandled++
+	switch ev.kind {
+	case evSpawn:
+		e.handleSpawn(e.unpack(&ev))
+	case evWake:
+		e.handleWake(int(ev.worker))
+	case evDone:
+		e.handleDone(e.unpack(&ev))
+	case evArrive:
+		e.handleArrive(e.unpack(&ev))
+		e.freeArrive(ev.batch)
+	case evCrash:
+		e.crashPlace(e.places[ev.place])
+	case evJoin:
+		e.joinPlace(e.places[ev.place])
+	case evDrain:
+		e.drainPlace(e.places[ev.place])
+	case evHeal:
+		if ev.place < 0 {
+			e.record(0, 0, obs.KindHeal, -1, -1, 0)
+		} else {
+			e.healPlace(e.places[ev.place])
 		}
+	case evPartition:
+		e.record(0, 0, obs.KindPartition, -1, ev.place, 0)
+	}
+}
+
+// runEngine is the shared event loop behind Run and RunDAG. The caller
+// has validated its inputs and applied option defaults; ds selects
+// dataflow mode (nil for fork-join traces).
+func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Options, ds *dagState) (*Result, error) {
+	e := newEngine(g, cl, policy, opts, ds)
+	for e.events.len() > 0 && e.tasksDone < len(g.Tasks) {
+		e.step()
 	}
 	if e.tasksDone < len(g.Tasks) {
 		return nil, fmt.Errorf("sim: stalled with %d of %d tasks done (scheduler invariant violated)",
@@ -523,10 +604,64 @@ func runEngine(g *trace.Graph, cl topology.Cluster, policy sched.Kind, opts Opti
 	return res, nil
 }
 
+// buildCluster creates the places and workers of e.cl, every worker idle
+// and wakeable.
+func (e *engine) buildCluster() {
+	cl := e.cl
+	// Places and workers live in one backing array each (one allocation
+	// per array instead of one per record); the pointer slices index them.
+	placeRecs := make([]simPlace, cl.Places)
+	workerRecs := make([]simWorker, cl.Workers())
+	e.places = make([]*simPlace, cl.Places)
+	e.workers = make([]*simWorker, len(workerRecs))
+	e.wakeBits = make([]uint64, (cl.Places+63)/64)
+	for p := range e.places {
+		pl := &placeRecs[p]
+		*pl = simPlace{
+			id:        p,
+			lifelines: make([]bool, cl.Places),
+			cache:     cachesim.New(e.opts.CacheBlocks),
+			workers:   make([]*simWorker, cl.WorkersPerPlace),
+			wakeable:  cl.WorkersPerPlace,
+		}
+		for i := range pl.workers {
+			id := p*cl.WorkersPerPlace + i
+			w := &workerRecs[id]
+			*w = simWorker{id: id, local: i, place: pl, curTask: -1}
+			pl.workers[i] = w
+			e.workers[id] = w
+		}
+		e.places[p] = pl
+		e.wakeBits[p>>6] |= 1 << (p & 63)
+	}
+}
+
 func (e *engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
 	e.events.push(ev)
+}
+
+// setState sets w's busy and wakePending flags, keeping its place's
+// wakeable count and e.wakeBits in step. Every change of either flag goes
+// through here.
+func (e *engine) setState(w *simWorker, busy, wakePending bool) {
+	was := !w.busy && !w.wakePending
+	w.busy, w.wakePending = busy, wakePending
+	if now := !busy && !wakePending; now != was {
+		p := w.place
+		if now {
+			p.wakeable++
+			if p.wakeable == 1 {
+				e.wakeBits[p.id>>6] |= 1 << (p.id & 63)
+			}
+		} else {
+			p.wakeable--
+			if p.wakeable == 0 {
+				e.wakeBits[p.id>>6] &^= 1 << (p.id & 63)
+			}
+		}
+	}
 }
 
 // record logs one scheduling event at the current virtual time when
@@ -562,7 +697,7 @@ func (e *engine) load(p *simPlace) sched.PlaceLoad {
 }
 
 // handleSpawn maps a newly available task per Algorithm 1 lines 1–8.
-func (e *engine) handleSpawn(ev event) {
+func (e *engine) handleSpawn(ev evArgs) {
 	t := &e.g.Tasks[ev.taskID]
 	if e.places[ev.home].dead || e.places[ev.home].draining {
 		// The home place failed (or is departing) before the task arrived:
@@ -624,37 +759,64 @@ func (e *engine) wakeFor(p *simPlace, remotelyStealable bool) {
 	if p.dead || p.draining {
 		return
 	}
-	for _, w := range p.workers {
-		if !w.busy && !w.wakePending {
-			w.wakePending = true
-			p.pendingWakes++
-			e.push(event{at: e.now, kind: evWake, worker: w.id})
-			return
-		}
+	if p.wakeable > 0 {
+		e.wakeFirst(p)
+		return
 	}
 	if !remotelyStealable || !sched.RemoteStealing(e.policy) || len(e.places) == 1 {
 		return
 	}
-	for off := 0; off < len(e.places); off++ {
-		q := e.places[(e.remoteRR+off)%len(e.places)]
-		if q == p || q.dead || q.draining {
-			continue
-		}
-		for _, w := range q.workers {
-			if !w.busy && !w.wakePending {
-				w.wakePending = true
-				q.pendingWakes++
-				e.remoteRR = (e.remoteRR + off + 1) % len(e.places)
-				e.push(event{at: e.now, kind: evWake, worker: w.id})
-				return
+	if q := e.remoteWakePlace(p); q != nil {
+		e.remoteRR = (q.id + 1) % len(e.places)
+		e.wakeFirst(q)
+	}
+}
+
+// remoteWakePlace returns the first place other than p, cyclically from
+// e.remoteRR, that is neither dead nor draining and has a wakeable worker
+// (nil if none). It walks the set bits of e.wakeBits, so its cost follows
+// the number of candidate places, not the number of workers.
+func (e *engine) remoteWakePlace(p *simPlace) *simPlace {
+	n := len(e.places)
+	from := e.remoteRR
+	// Two spans cover the cycle: [remoteRR, n), then [0, remoteRR).
+	for _, end := range [2]int{n, from} {
+		for i := from; i < end; {
+			word := e.wakeBits[i>>6] >> (i & 63)
+			if word == 0 {
+				i = (i | 63) + 1
+				continue
 			}
+			i += bits.TrailingZeros64(word)
+			if i >= end {
+				break
+			}
+			if q := e.places[i]; q != p && !q.dead && !q.draining {
+				return q
+			}
+			i++
+		}
+		from = 0
+	}
+	return nil
+}
+
+// wakeFirst schedules a wake at e.now for q's first wakeable worker by
+// index; q must have one.
+func (e *engine) wakeFirst(q *simPlace) {
+	for _, w := range q.workers {
+		if !w.busy && !w.wakePending {
+			e.setState(w, false, true)
+			q.pendingWakes++
+			e.push(event{at: e.now, kind: evWake, worker: int32(w.id)})
+			return
 		}
 	}
 }
 
 func (e *engine) handleWake(worker int) {
 	w := e.workers[worker]
-	w.wakePending = false
+	e.setState(w, w.busy, false)
 	w.place.pendingWakes--
 	if w.busy || w.place.dead {
 		return
@@ -662,7 +824,7 @@ func (e *engine) handleWake(worker int) {
 	e.findWork(w)
 }
 
-func (e *engine) handleDone(ev event) {
+func (e *engine) handleDone(ev evArgs) {
 	w := e.workers[ev.worker]
 	if w.place.dead || !w.busy || w.curTask != ev.taskID {
 		// Stale completion: the place crashed (and possibly healed) while
@@ -670,7 +832,7 @@ func (e *engine) handleDone(ev event) {
 		// re-homed the task, so this event no longer names live work.
 		return
 	}
-	w.busy = false
+	e.setState(w, false, w.wakePending)
 	w.curTask = -1
 	w.place.running--
 	w.place.executed++
@@ -704,7 +866,7 @@ func (e *engine) handleDone(ev event) {
 	e.findWork(w)
 }
 
-func (e *engine) handleArrive(ev event) {
+func (e *engine) handleArrive(ev evArgs) {
 	p := e.places[ev.place]
 	if p.dead || p.draining {
 		// Stolen tasks in flight toward a crashed or departing thief:
@@ -717,10 +879,8 @@ func (e *engine) handleArrive(ev event) {
 			} else {
 				e.ctrs.TasksOffloaded.Add(1)
 			}
-			e.push(event{at: e.now, kind: evSpawn, taskID: id,
-				home: e.aliveHome(ev.place), from: -1, fromW: -1, requeue: true})
+			e.pushSpawn(e.now, id, e.aliveHome(ev.place), -1, -1, true)
 		}
-		e.putBatch(ev.batch)
 		return
 	}
 	e.record(ev.place, 0, obs.KindArrive, -1, int32(len(ev.batch)), 0)
@@ -728,7 +888,6 @@ func (e *engine) handleArrive(ev event) {
 		p.queued++
 		p.shared.Push(id)
 	}
-	e.putBatch(ev.batch)
 	p.active = true
 	p.failedSweeps = 0
 	e.wakeFor(p, true)
@@ -788,7 +947,7 @@ func (e *engine) crashPlace(p *simPlace) {
 		// Reset worker state so a later heal restarts the place cleanly;
 		// the stale-completion guard in handleDone discards the in-flight
 		// evDone events these interrupted tasks left behind.
-		w.busy = false
+		e.setState(w, false, w.wakePending)
 		w.curTask = -1
 	}
 	p.running = 0
@@ -797,8 +956,7 @@ func (e *engine) crashPlace(p *simPlace) {
 	for i, id := range orphans {
 		e.ctrs.TasksReExecuted.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
-			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
+		e.pushSpawn(e.now+delay, id, e.aliveHome(p.id+1+i), -1, -1, true)
 	}
 }
 
@@ -855,8 +1013,7 @@ func (e *engine) drainPlace(p *simPlace) {
 	for i, id := range moved {
 		e.ctrs.TasksOffloaded.Add(1)
 		delay := e.cl.Net.TransferNS(e.g.Tasks[id].MigBytes)
-		e.push(event{at: e.now + delay, kind: evSpawn, taskID: id,
-			home: e.aliveHome(p.id + 1 + i), from: -1, fromW: -1, requeue: true})
+		e.pushSpawn(e.now+delay, id, e.aliveHome(p.id+1+i), -1, -1, true)
 	}
 	if p.running == 0 {
 		p.dead = true
@@ -1073,8 +1230,7 @@ func (e *engine) stealRemote(w *simWorker) bool {
 		}
 		e.record(w.place.id, w.local, obs.KindStealRemote, int32(chunk[0]), int32(v), delay)
 		if len(chunk) > 1 {
-			batch := append(e.getBatch(), chunk[1:]...)
-			e.push(event{at: e.now + delay, kind: evArrive, place: w.place.id, batch: batch})
+			e.pushArrive(e.now+delay, w.place.id, chunk[1:])
 		}
 		e.ctrs.RemoteProbes.Add(probes)
 		e.ctrs.Messages.Add(messages)
@@ -1224,7 +1380,7 @@ func (e *engine) serveLifelines(p *simPlace) {
 			e.ctrs.BytesTransferred.Add(int64(t.MigBytes))
 			e.ctrs.RemoteSteals.Add(1)
 			arrive := e.now + e.cl.Net.TransferNS(t.MigBytes)
-			e.push(event{at: arrive, kind: evArrive, place: q, batch: append(e.getBatch(), id)})
+			e.pushArrive(arrive, q, []int{id})
 		}
 	}
 }
@@ -1234,7 +1390,7 @@ func (e *engine) serveLifelines(p *simPlace) {
 func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	t := &e.g.Tasks[id]
 	p := w.place
-	w.busy = true
+	e.setState(w, true, w.wakePending)
 	w.curTask = id
 	p.running++
 	p.active = true
@@ -1326,7 +1482,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 	}
 	doneAt := e.now + service
 	w.busyNS += service
-	e.push(event{at: doneAt, kind: evDone, worker: w.id, taskID: id})
+	e.push(event{at: doneAt, kind: evDone, worker: int32(w.id), taskID: int32(id)})
 
 	// Children become available during the parent's execution. A task
 	// re-executed after a crash has already scheduled its children; the
@@ -1349,7 +1505,7 @@ func (e *engine) start(w *simWorker, id int, startDelay int64) {
 		if home < 0 || home >= len(e.places) {
 			home = 0
 		}
-		e.push(event{at: at, kind: evSpawn, taskID: c, home: home, from: p.id, fromW: w.id})
+		e.pushSpawn(at, c, home, p.id, w.id, false)
 	}
 }
 
